@@ -8,9 +8,10 @@
 #   make bench-json     hot-path benchmarks frozen into BENCH_PR3.json
 #   make alloc-guard    zero-allocation regression tests for the
 #                       search hot path (match, caram, server)
-#   make trace-guard    tracing-layer gate: ring races under -race,
-#                       slowlog admission property, zero-alloc with
-#                       tracing compiled in (off and on-unadmitted)
+#   make trace-guard    tracing-layer gate: ring races and trace
+#                       recycling under -race, slowlog admission
+#                       property, zero-alloc with tracing compiled in
+#                       (off, on-unadmitted, and *TID-tagged)
 #   make metrics-smoke  end-to-end observability check: live server,
 #                       /metrics + /debug/traces scrape, SLOWLOG/EXPLAIN
 #                       and HEALTH over the wire, graceful shutdown
@@ -41,20 +42,27 @@
 #                       then the kill-injection harness against the
 #                       real binary (SIGKILL mid-fsync, restart,
 #                       acked-present / unacked-absent)
-#   make ci             the CI gate: check + race + alloc-guard +
-#                       trace-guard + seqlock-guard + typed-guard +
-#                       cluster-guard + crash-guard + chaos +
-#                       metrics-smoke
+#   make ci             the CI gate: every test once per mode — check
+#                       (the whole suite, which holds every guard's
+#                       non-race tests) + race + the guards' race
+#                       lines that race does not cover (cluster-race,
+#                       reader-race, recycle-race) + metrics-smoke
 #   make all            everything above, in that order
 
 GO       ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet race stress fuzz bench bench-json alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci
+.PHONY: all check vet race stress fuzz bench bench-json alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke ci cluster-race reader-race recycle-race
 
 all: check race stress fuzz bench trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
 
-ci: check race alloc-guard trace-guard seqlock-guard typed-guard cluster-guard crash-guard chaos metrics-smoke
+# Each test runs once per mode. check's `go test ./...` already holds
+# every guard's non-race line (the zero-alloc guards, the golden
+# sessions, the crash harness), race holds the race lines over its
+# packages (chaos included), and the three targets below are the only
+# guard race lines left; the guards share them as prerequisites, so a
+# guard run alone is still complete.
+ci: check race cluster-race reader-race recycle-race metrics-smoke
 
 check: vet
 	$(GO) build ./...
@@ -88,11 +96,13 @@ bench:
 	$(GO) test -run '^$$' -bench ServerParallelSearch -benchmem .
 
 # Zero-allocation regression guard: testing.AllocsPerRun == 0 on the
-# core search paths (row match kernel, slice lookup, server SEARCH) and
-# on the router forward path with an idle trace collector attached.
+# core search paths (row match kernel, slice lookup, server SEARCH), on
+# the router forward path with no collector, an idle one, and the
+# shipped defaults (slowlog 10 ms), and on *TID-tagged server requests
+# under the shipped defaults.
 alloc-guard:
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
-	$(GO) test -run 'ForwardPathAllocs|RouterUntracedZeroAlloc' -count=1 ./internal/cluster
+	$(GO) test -run 'ForwardPathAllocs|ZeroAlloc' -count=1 ./internal/cluster
 
 # Durability gate: the whole WAL suite under the race detector (the
 # exhaustive torn-tail property, snapshot truncation + replay gating,
@@ -108,29 +118,37 @@ crash-guard:
 	$(GO) test -race -run 'RouterWALStatus' -count=1 ./internal/cluster
 	$(GO) test -run 'Crash|GracefulShutdown' -count=1 ./cmd/caram-server
 
-# Tracing-layer gate: the lock-free ring under the race detector, the
-# slowlog admission property (admitted exactly when latency exceeds the
+# Tracing-layer gate: the retention rings under the race detector,
+# including the recycling property ten times over (copies readers hold
+# stay byte-identical while evicted traces are reused), the slowlog
+# admission property (admitted exactly when latency exceeds the
 # threshold), the per-command pipelined-burst attribution, the wire
 # *TID annotation / TRACE GET suites, the cluster tracing suites (the
 # stitched end-to-end trace through a live router, fleet SLOWLOG /
-# METRICS / TRACE merges, traced-vs-untraced transparency), and the
-# steady-state zero-alloc guarantee with tracing compiled in.
-trace-guard:
+# METRICS / TRACE merges, traced-vs-untraced transparency, recycled
+# router root traces), and the steady-state zero-alloc guarantee with
+# tracing compiled in.
+trace-guard: recycle-race
 	$(GO) test -race -count=1 ./internal/trace
 	$(GO) test -race -run 'Pipelined|Slowlog|Explain|SlowRequest|TracingOn|WireAnnotation|TraceGet' -count=1 ./internal/server
-	$(GO) test -race -run 'ClusterTracing|RouterSlowlog|RouterMetricsAggregation|RouterTraceGet|RouterTracedTransparency|RouterHealthMergeOrder|RouterUntraced' -count=1 ./internal/cluster
-	$(GO) test -run 'TracingOnSteadyStateAllocs|ZeroAlloc' -count=1 ./internal/server
+	$(GO) test -race -run 'ClusterTracing|RouterSlowlog|RouterMetricsAggregation|RouterTraceGet|RouterTracedTransparency|RouterRootTraces|RouterHealthMergeOrder|RouterUntraced' -count=1 ./internal/cluster
+	$(GO) test -run 'TracingOnSteadyStateAllocs|ZeroAlloc' -count=1 ./internal/server ./internal/cluster
+
+recycle-race:
+	$(GO) test -race -run RingRecycle -count=10 ./internal/trace
 
 # Wait-free search gate: the torn-read/linearizability suites (caram
 # Reader and subsystem dispatch) under the race detector, the wait-free
 # code-level assertion and forced-retry telemetry, the zero-allocation
 # guards with the seqlock path compiled in, and the byte-exact golden
 # session (nothing on the wire may change).
-seqlock-guard:
-	$(GO) test -race -run 'TestReader' -count=1 ./internal/caram
+seqlock-guard: reader-race
 	$(GO) test -race -run 'SearchWaitFree|SearchTornReadStress|ForcedRetryTelemetry' -count=1 ./internal/subsystem
 	$(GO) test -run ZeroAlloc -count=1 ./internal/match ./internal/caram ./internal/server
 	$(GO) test -run GoldenSession -count=1 ./internal/server
+
+reader-race:
+	$(GO) test -race -run 'TestReader' -count=1 ./internal/caram
 
 # Typed-engine gate: every differential oracle suite (wire answers vs
 # the simulation packages' trie / linear classifier / trigram slice),
@@ -151,9 +169,11 @@ typed-guard:
 # through a live two-backend cluster, and the kill-a-backend failover
 # storm — then the forward-path zero-alloc guard without -race (the
 # race runtime allocates).
-cluster-guard:
-	$(GO) test -race -count=1 ./internal/cluster
+cluster-guard: cluster-race
 	$(GO) test -run ForwardPathAllocs -count=1 ./internal/cluster
+
+cluster-race:
+	$(GO) test -race -count=1 ./internal/cluster
 
 # Freeze the hot-path benchmarks into a versioned JSON artifact.
 bench-json:

@@ -3,9 +3,12 @@ package cluster
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"caram/internal/trace"
 )
@@ -298,17 +301,18 @@ func stubBackend(b testing.TB) string {
 	return l.Addr().String()
 }
 
-// TestRouterForwardPathAllocs is the CI guard for the same property
-// the benchmark freezes: steady-state forwarding allocates nothing.
-// AllocsPerRun counts mallocs process-wide, so the stub backend and
-// the measuring client are built to be allocation-free too.
-func TestRouterForwardPathAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector builds allocate in sync.Pool by design; make cluster-guard runs this without -race")
-	}
+// forwardPathAllocs serves a router (with an optional trace collector
+// and logger) over a stub backend and returns the steady-state
+// allocations of one client round trip. AllocsPerRun counts mallocs
+// process-wide, so the stub backend and the measuring client are built
+// to be allocation-free too.
+func forwardPathAllocs(t *testing.T, col *trace.Collector, log *slog.Logger) float64 {
+	t.Helper()
 	rt, err := NewRouter(RouterConfig{
 		Backends: []Backend{{Label: "b0", Addr: stubBackend(t)}},
 		Conns:    1, // HealthInterval 0: watcher off, nothing ticks
+		Tracing:  col,
+		Logger:   log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +338,19 @@ func TestRouterForwardPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 2*trace.DefaultRing; i++ { // warm every pool, buffer and ring
 		roundTrip()
 	}
-	if avg := testing.AllocsPerRun(300, roundTrip); avg >= 1 {
+	return testing.AllocsPerRun(300, roundTrip)
+}
+
+// TestRouterForwardPathAllocs is the CI guard for the same property
+// the benchmark freezes: steady-state forwarding allocates nothing.
+func TestRouterForwardPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector builds allocate in sync.Pool by design; make cluster-guard runs this without -race")
+	}
+	if avg := forwardPathAllocs(t, nil, nil); avg >= 1 {
 		t.Errorf("forward path allocates %.2f allocs/op, want 0", avg)
 	}
 }
@@ -392,40 +405,29 @@ func TestRouterUntracedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector builds allocate in sync.Pool by design; make alloc-guard runs this without -race")
 	}
-	rt, err := NewRouter(RouterConfig{
-		Backends: []Backend{{Label: "b0", Addr: stubBackend(t)}},
-		Conns:    1,
-		Tracing:  trace.NewCollector(trace.Config{SampleN: 0, Slowlog: -1}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go rt.Serve(l) //nolint:errcheck
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 4<<10)
-	req := []byte("SEARCH db 5\n")
-	roundTrip := func() {
-		if _, err := conn.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := br.ReadSlice('\n'); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		roundTrip()
-	}
-	if avg := testing.AllocsPerRun(300, roundTrip); avg >= 1 {
+	col := trace.NewCollector(trace.Config{SampleN: 0, Slowlog: -1})
+	if avg := forwardPathAllocs(t, col, nil); avg >= 1 {
 		t.Errorf("forward path with idle collector allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestRouterDefaultTracingZeroAlloc guards the forward path under the
+// shipped caram-router defaults: slowlog at 10 ms, sampling off, a
+// logger attached. Every request is then eligible, so it is traced
+// and forwarded with a *TID tag; its trace records the command, engine
+// and key into the trace's reused buffer and is recycled at settle
+// (a minted id does not make the router's own trace retainable).
+func TestRouterDefaultTracingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector builds allocate in sync.Pool by design; make alloc-guard runs this without -race")
+	}
+	col := trace.NewCollector(trace.Config{SampleN: 0, Slowlog: 10 * time.Millisecond})
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	if avg := forwardPathAllocs(t, col, log); avg >= 1 {
+		t.Errorf("forward path under default tracing allocates %.2f allocs/op, want 0", avg)
+	}
+	if seen := col.Seen(); seen < 2*trace.DefaultRing+300 {
+		t.Errorf("collector saw %d requests; the guard did not trace the forward path", seen)
 	}
 }
 

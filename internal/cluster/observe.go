@@ -596,7 +596,6 @@ type stitchEntry struct {
 type stitchJSON struct {
 	Seen    uint64        `json:"seen"`
 	Slowlog []stitchEntry `json:"slowlog"`
-	Tagged  []stitchEntry `json:"tagged"`
 	Sampled []stitchEntry `json:"sampled"`
 }
 
@@ -624,7 +623,6 @@ func (rt *Router) TraceHandler() http.Handler {
 		v := stitchJSON{
 			Seen:    rt.trc.Seen(),
 			Slowlog: rt.stitchRing(rt.trc.Slow(), max),
-			Tagged:  rt.stitchRing(rt.trc.Tagged(), max),
 			Sampled: rt.stitchRing(rt.trc.Sampled(), max),
 		}
 		enc := json.NewEncoder(w)

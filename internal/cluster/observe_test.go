@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"caram/internal/cam"
 	"caram/internal/caram"
@@ -335,6 +336,37 @@ func TestRouterTraceGet(t *testing.T) {
 	// Grammar errors are the backend's to render.
 	if got := rdrive(t, rt, "TRACE GET")[0]; !strings.HasPrefix(got, "ERR usage: TRACE GET") {
 		t.Errorf("TRACE usage: %q", got)
+	}
+}
+
+// TestRouterRootTracesRecycled: under a slowlog that nothing exceeds
+// (the shipped default in miniature), the router still tags every
+// forward so the backend keeps its child trace, but its own root
+// trace is recycled — the id it minted names no parent, so no ring
+// of the router retains it.
+func TestRouterRootTracesRecycled(t *testing.T) {
+	bks := []*testBackend{startTracedBackend(t, "db"), startTracedBackend(t, "db")}
+	col := trace.NewCollector(trace.Config{Slowlog: time.Hour, Ring: 64})
+	rt, _ := testRouter(t, bks, func(cfg *RouterConfig) { cfg.Tracing = col })
+	if got := rdrive(t, rt, "INSERT db dead 42", "SEARCH db dead"); got[1] != "HIT 0:0000000000000042" {
+		t.Fatalf("replies: %q", got)
+	}
+	if col.Seen() < 2 {
+		t.Fatalf("router traced %d requests, want 2", col.Seen())
+	}
+	if n := col.Slow().Total() + col.Tagged().Total() + col.Sampled().Total(); n != 0 {
+		t.Fatalf("router retained %d root traces, want 0", n)
+	}
+	children := 0
+	for _, b := range bks {
+		for _, tr := range b.srv.Tracing().Slow().Snapshot(nil, 0) {
+			if tr.TID != 0 && tr.SpanID == 1 {
+				children++
+			}
+		}
+	}
+	if children != 2 {
+		t.Fatalf("backends kept %d tagged child traces, want 2 (INSERT and SEARCH)", children)
 	}
 }
 

@@ -544,11 +544,9 @@ func (rt *Router) route(st *rconn, line []byte) {
 		rt.forward(st, line, 0, false) // empty request: backend renders the ERR
 		return
 	}
-	if st.tr != nil {
-		// Clone eagerly: the line buffer dies at the next ReadSlice,
-		// long before settle finishes this trace.
-		st.tr.Request(upperString(cmd), "", "")
-	}
+	// The trace copies what it records: the line buffer dies at the
+	// next ReadSlice, long before settle finishes this trace.
+	st.tr.RequestBytes(cmd, nil, nil)
 	switch {
 	case eqFold(cmd, "SEARCH"):
 		eng, ok1 := sc.next()
@@ -559,9 +557,7 @@ func (rt *Router) route(st *rconn, line []byte) {
 			rt.forwardUsage(st, line, eng, ok1)
 			return
 		}
-		if st.tr != nil {
-			st.tr.Request(upperString(cmd), string(eng), string(key))
-		}
+		st.tr.RequestBytes(cmd, eng, key)
 		if rt.Pinned(string(eng)) {
 			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), true)
 			return
@@ -583,9 +579,7 @@ func (rt *Router) route(st *rconn, line []byte) {
 			rt.forwardUsage(st, line, eng, ok1)
 			return
 		}
-		if st.tr != nil {
-			st.tr.Request(upperString(cmd), string(eng), string(key))
-		}
+		st.tr.RequestBytes(cmd, eng, key)
 		if rt.Pinned(string(eng)) {
 			rt.forward(st, line, rt.ring.OwnerEngine(string(eng)), false)
 			return
@@ -723,33 +717,17 @@ func (rt *Router) forward(st *rconn, line []byte, backend int, idempotent bool) 
 // <hex-id>/<span> <line>" — into the rconn scratch. The backend joins
 // its own trace to the id, so a later TRACE GET <id>/<span> on that
 // backend returns this hop's child trace. The trace id is minted
-// lazily, once per router trace.
+// lazily, once per router trace; a minted id does not make the
+// router's own trace retainable (only slow or sampled ones are kept).
 func (st *rconn) tag(line []byte, span uint32) []byte {
-	tr := st.tr
-	if tr.TID == 0 {
-		tr.SetWire(trace.NewTraceID(), 0)
-	}
 	b := append(st.tagb[:0], "*TID "...)
-	b = strconv.AppendUint(b, tr.TID, 16)
+	b = strconv.AppendUint(b, st.tr.Mint(), 16)
 	b = append(b, '/')
 	b = strconv.AppendUint(b, uint64(span), 10)
 	b = append(b, ' ')
 	b = append(b, line...)
 	st.tagb = b
 	return b
-}
-
-// upperString clones b as an upper-cased string (commands are matched
-// case-insensitively but recorded canonically).
-func upperString(b []byte) string {
-	s := make([]byte, len(b))
-	for i, c := range b {
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		s[i] = c
-	}
-	return string(s)
 }
 
 // forwardUsage anchors a malformed engine-op line: to the engine's
@@ -872,14 +850,16 @@ func (rt *Router) settle(st *rconn, w io.Writer) bool {
 		}
 		if op.tr != nil {
 			op.tr.SetResult(server.ResultToken(st.out[mark:]))
-			if slow := rt.trc.End(op.tr); slow && rt.log != nil {
+			if rt.log == nil {
+				rt.trc.End(op.tr)
+			} else if slow := rt.trc.EndCopy(op.tr); slow != nil {
 				rt.log.Warn("slow proxied request",
-					"id", op.tr.ID,
-					"cmd", op.tr.Cmd,
-					"engine", op.tr.Engine,
-					"key", op.tr.Key,
-					"us", op.tr.Dur.Microseconds(),
-					"result", op.tr.Result)
+					"id", slow.ID,
+					"cmd", slow.Cmd,
+					"engine", slow.Engine,
+					"key", slow.Key,
+					"us", slow.Dur.Microseconds(),
+					"result", slow.Result)
 			}
 			op.tr = nil
 		}

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"io"
+	"log/slog"
 	"testing"
+	"time"
 
 	"caram/internal/caram"
 	"caram/internal/hash"
 	"caram/internal/subsystem"
+	"caram/internal/trace"
 	"caram/internal/wal"
 )
 
@@ -116,5 +120,46 @@ func TestWALExecAppendSearchZeroAlloc(t *testing.T) {
 	}
 	if got := string(s.ExecAppend(buf[:0], "SEARCH db dead")); got != "HIT 0:0000000000000042" {
 		t.Fatalf("SEARCH reply = %q", got)
+	}
+}
+
+// TestTaggedExecAppendZeroAlloc guards the backend half of a proxied
+// request under the shipped caram-server tracing defaults: slowlog at
+// 10 ms, sampling off, a logger attached. A *TID-tagged request is
+// retained in the tagged ring, which hands the trace it evicts back to
+// the pool, so once the ring has wrapped, tagged INSERT, SEARCH and
+// DELETE allocate nothing.
+func TestTaggedExecAppendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector builds drop sync.Pool items by design; make alloc-guard runs this without -race")
+	}
+	col := trace.NewCollector(trace.Config{SampleN: 0, Slowlog: 10 * time.Millisecond})
+	s := allocServer(WithTracing(col), WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	steps := []struct{ req, want string }{
+		{"*TID deadbeef/1 INSERT db dead 42", "OK"},
+		{"*TID deadbeef/1 SEARCH db dead", "HIT 0:0000000000000042"},
+		{"*TID deadbeef/1 SEARCH db f00d", "MISS"},
+		{"*TID deadbeef/1 DELETE db dead", "OK"},
+	}
+	buf := make([]byte, 0, 64)
+	for _, st := range steps {
+		if buf = s.ExecAppend(buf[:0], st.req); string(buf) != st.want {
+			t.Fatalf("%s: %q, want %q", st.req, buf, st.want)
+		}
+	}
+	run := func() {
+		for _, st := range steps {
+			buf = s.ExecAppend(buf[:0], st.req)
+		}
+	}
+	for i := 0; i < col.Tagged().Cap(); i++ { // wrap the tagged ring
+		run()
+	}
+	before := col.Tagged().Total()
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("tagged INSERT/SEARCH/DELETE allocated %.1f times per run, want 0", n)
+	}
+	if kept := col.Tagged().Total() - before; kept < 200*uint64(len(steps)) {
+		t.Fatalf("tagged ring admitted %d traces during the guard, want every request", kept)
 	}
 }

@@ -656,18 +656,20 @@ func (s *Server) ExecAppend(dst []byte, line string) []byte {
 	mark := len(dst)
 	dst = s.execAppend(dst, line, tr)
 	tr.SetResult(resultToken(dst[mark:]))
-	// On slowlog admission the trace is retained (immutable from here
-	// on) and safe to read for the log record; otherwise End has
-	// already recycled it and it must not be touched again.
-	if slow := s.trc.End(tr); slow && s.log != nil {
+	// End hands tr to the collector, which may recycle it at once; the
+	// log record reads the private copy EndCopy returns for slow
+	// requests.
+	if s.log == nil {
+		s.trc.End(tr)
+	} else if slow := s.trc.EndCopy(tr); slow != nil {
 		s.log.Warn("slow request",
-			"id", tr.ID,
-			"cmd", tr.Cmd,
-			"engine", tr.Engine,
-			"key", tr.Key,
-			"us", tr.Dur.Microseconds(),
-			"rows", tr.Rows,
-			"result", tr.Result,
+			"id", slow.ID,
+			"cmd", slow.Cmd,
+			"engine", slow.Engine,
+			"key", slow.Key,
+			"us", slow.Dur.Microseconds(),
+			"rows", slow.Rows,
+			"result", slow.Result,
 		)
 	}
 	return dst

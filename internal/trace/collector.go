@@ -65,7 +65,7 @@ func NewCollector(cfg Config) *Collector {
 		slow:    NewRing(size),
 		tagged:  NewRing(size),
 		pool: sync.Pool{New: func() any {
-			return &Trace{Events: make([]Event, 0, 16)}
+			return &Trace{Events: make([]Event, 0, 16), ident: make([]byte, 0, 64)}
 		}},
 	}
 }
@@ -115,8 +115,9 @@ func (c *Collector) Slow() *Ring {
 }
 
 // Tagged returns the wire-propagated trace ring (nil on a nil
-// collector): traces that carried a *TID annotation but were neither
-// slow nor sampled, retained so the tagging tier can stitch them.
+// collector): traces joined to a parent's id by SetWire that were
+// neither slow nor sampled, retained so the tagging tier can stitch
+// them.
 func (c *Collector) Tagged() *Ring {
 	if c == nil {
 		return nil
@@ -148,15 +149,26 @@ func (c *Collector) Begin() *Trace {
 }
 
 // End finishes a request trace: it stamps the wall latency, applies
-// both admission policies, and either retains the trace (slowlog wins
-// over the sampled ring) or recycles it. It returns whether the
-// request entered the slowlog, so the server can log it. Safe on nil
-// collector/trace.
+// the admission policies, and either retains the trace (slowlog >
+// tagged > sampled) or recycles it. Either way the caller must not
+// touch the trace again. It returns whether the request entered the
+// slowlog. Safe on nil collector/trace.
 func (c *Collector) End(t *Trace) (slow bool) {
 	if c == nil || t == nil {
 		return false
 	}
 	return c.Observe(t, time.Since(t.Begin))
+}
+
+// EndCopy is End for callers that log slow requests: it returns a
+// private copy of the trace when the request entered the slowlog, and
+// nil otherwise.
+func (c *Collector) EndCopy(t *Trace) *Trace {
+	if c == nil || t == nil {
+		return nil
+	}
+	cp, _ := c.observe(t, time.Since(t.Begin), true)
+	return cp
 }
 
 // Observe is End with an explicit latency, the seam the admission
@@ -165,28 +177,42 @@ func (c *Collector) Observe(t *Trace, d time.Duration) (slow bool) {
 	if c == nil || t == nil {
 		return false
 	}
+	_, slow = c.observe(t, d, false)
+	return slow
+}
+
+func (c *Collector) observe(t *Trace, d time.Duration, keep bool) (cp *Trace, slow bool) {
 	t.Dur = d
-	// A trace lands in exactly one ring (Ring.Put rewrites Trace.ID, so
-	// double admission would corrupt the older ring's slot validation).
-	// Priority: slowlog > tagged > sampled.
+	// A trace lands in exactly one ring (Ring.Put rewrites Trace.ID).
+	var r *Ring
 	switch {
 	case c.SlowAdmit(d):
-		t.detach()
-		c.slow.Put(t)
-		return true
-	case t.TID != 0:
-		t.detach()
-		c.tagged.Put(t)
-		return false
+		r, slow = c.slow, true
+	case t.TID != 0 && !t.minted:
+		r = c.tagged
 	case t.sampled:
-		t.detach()
-		c.sampled.Put(t)
-		return false
+		r = c.sampled
 	default:
-		t.reset()
-		c.pool.Put(t)
-		return false
+		c.recycle(t)
+		return nil, false
 	}
+	t.detach()
+	if slow && keep {
+		cp = t.clone() // before Put: once admitted, t may be evicted at any time
+	}
+	id, evicted := r.Put(t)
+	if cp != nil {
+		cp.ID = id
+	}
+	if evicted != nil {
+		c.recycle(evicted)
+	}
+	return cp, slow
+}
+
+func (c *Collector) recycle(t *Trace) {
+	t.reset()
+	c.pool.Put(t)
 }
 
 // Eligible reports whether the trace has any chance of being retained
@@ -199,22 +225,18 @@ func (c *Collector) Eligible(t *Trace) bool {
 	return c != nil && t != nil && (t.sampled || c.slowNs >= 0)
 }
 
-// Find returns the newest retained trace carrying the wire trace id
-// tid (and, when span is nonzero, exactly that span id), scanning the
-// slowlog, tagged, and sampled rings. It is the lookup behind the
-// TRACE GET wire command; a miss — never admitted, or already evicted
-// by ring wraparound — returns nil.
+// Find returns a copy of the newest retained trace carrying the wire
+// trace id tid (and, when span is nonzero, exactly that span id),
+// scanning the slowlog, tagged, and sampled rings. It is the lookup
+// behind the TRACE GET wire command; a miss — never admitted, or
+// already evicted by ring wraparound — returns nil.
 func (c *Collector) Find(tid uint64, span uint32) *Trace {
 	if c == nil || tid == 0 {
 		return nil
 	}
-	var buf []*Trace
-	for _, r := range []*Ring{c.slow, c.tagged, c.sampled} {
-		buf = r.Snapshot(buf[:0], r.Cap())
-		for _, t := range buf { // Snapshot is newest first
-			if t.TID == tid && (span == 0 || t.SpanID == span) {
-				return t
-			}
+	for _, r := range [...]*Ring{c.slow, c.tagged, c.sampled} {
+		if t := r.find(tid, span); t != nil {
+			return t
 		}
 	}
 	return nil

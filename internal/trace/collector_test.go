@@ -149,7 +149,7 @@ func TestPoolRecycling(t *testing.T) {
 }
 
 // TestAdmittedTraceDetaches checks that a retained trace does not alias
-// the request line it was parsed from: admission clones the strings.
+// the request line it was parsed from: Request copies the strings.
 func TestAdmittedTraceDetaches(t *testing.T) {
 	c := NewCollector(Config{Slowlog: 0})
 	line := string([]byte("SEARCH db dead")) // force a fresh backing array

@@ -1,22 +1,18 @@
 package trace
 
-import "sync/atomic"
+import "sync"
 
-// Ring is a fixed-size lock-free trace buffer. Writers claim a slot
-// with one atomic add and publish with one atomic pointer store; the
-// newest size traces survive, older ones are overwritten in FIFO
-// order. Readers snapshot by walking the sequence backwards with
-// atomic loads. Reset is a lock-free epoch bump: it advances the base
-// sequence and clears the slots.
-//
-// Concurrent Put/Snapshot/Reset are all safe. A snapshot taken while
-// writers are active is best-effort — it may miss a trace published
-// mid-walk — but every trace it returns was genuinely admitted and is
-// immutable (the Collector detaches traces before Put).
+// Ring is a fixed-size trace buffer: the newest size traces survive,
+// older ones are evicted in FIFO order. Every operation holds one
+// short mutex. Put hands back the trace it evicted so the collector
+// can recycle it, which is safe because no reader ever holds a
+// retained trace: Snapshot and Find return deep copies taken under
+// the lock.
 type Ring struct {
-	slots []atomic.Pointer[Trace]
-	seq   atomic.Uint64 // next admission sequence number
-	base  atomic.Uint64 // sequence floor set by the last Reset
+	mu    sync.Mutex
+	slots []*Trace
+	seq   uint64 // admissions ever; the newest trace's ID
+	base  uint64 // seq at the last Reset
 }
 
 // NewRing returns a ring retaining the newest size traces (minimum 1).
@@ -24,63 +20,94 @@ func NewRing(size int) *Ring {
 	if size < 1 {
 		size = 1
 	}
-	return &Ring{slots: make([]atomic.Pointer[Trace], size)}
+	return &Ring{slots: make([]*Trace, size)}
 }
 
 // Cap returns the ring's capacity.
 func (r *Ring) Cap() int { return len(r.slots) }
 
-// Put admits a trace and returns its admission sequence number
-// (monotone from 1). The trace must not be mutated afterwards.
-func (r *Ring) Put(t *Trace) uint64 {
-	id := r.seq.Add(1)
+// Put admits a trace, stamps its admission sequence number (monotone
+// from 1) as its ID and returns it, along with the trace it evicted
+// (nil while the ring is filling). The ring owns t from here on; the
+// caller owns the evicted trace and may reuse it.
+func (r *Ring) Put(t *Trace) (id uint64, evicted *Trace) {
+	r.mu.Lock()
+	r.seq++
+	id = r.seq
 	t.ID = id
-	r.slots[int((id-1)%uint64(len(r.slots)))].Store(t)
-	return id
+	slot := &r.slots[int((id-1)%uint64(len(r.slots)))]
+	evicted, *slot = *slot, t
+	r.mu.Unlock()
+	return id, evicted
+}
+
+// len is Len with the lock held.
+func (r *Ring) len() int {
+	return int(min(r.seq-r.base, uint64(len(r.slots))))
 }
 
 // Len returns the number of traces currently retained.
 func (r *Ring) Len() int {
-	seq, base := r.seq.Load(), r.base.Load()
-	n := int(seq - base)
-	if n < 0 { // racing Reset moved base past a stale seq read
-		n = 0
-	}
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.len()
 }
 
 // Total returns how many traces were ever admitted (across resets).
-func (r *Ring) Total() uint64 { return r.seq.Load() }
+func (r *Ring) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.seq
+}
 
-// Reset discards the retained traces. Traces admitted concurrently
-// with the reset may survive it.
+// Reset discards the retained traces.
 func (r *Ring) Reset() {
-	r.base.Store(r.seq.Load())
-	for i := range r.slots {
-		r.slots[i].Store(nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.base = r.seq
+	clear(r.slots)
+}
+
+// walk calls fn on each retained trace, newest first, with the lock
+// held, until fn returns false.
+func (r *Ring) walk(fn func(*Trace) bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, n := uint64(0), uint64(r.len()); i < n; i++ {
+		id := r.seq - i
+		if !fn(r.slots[int((id-1)%uint64(len(r.slots)))]) {
+			return
+		}
 	}
 }
 
-// Snapshot appends up to max retained traces to dst, newest first, and
-// returns the extended slice. max <= 0 means "all retained".
+// Snapshot appends copies of up to max retained traces to dst, newest
+// first, and returns the extended slice. max <= 0 means "all
+// retained". The copies are the caller's: they stay intact however
+// the ring moves on.
 func (r *Ring) Snapshot(dst []*Trace, max int) []*Trace {
-	n := r.Len()
-	if max <= 0 || max > n {
-		max = n
-	}
-	seq := r.seq.Load()
-	for i := 0; i < max && uint64(i) < seq; i++ {
-		id := seq - uint64(i) // walk newest to oldest
-		t := r.slots[int((id-1)%uint64(len(r.slots)))].Load()
-		// A racing writer may have overwritten the slot with a newer
-		// trace, or a racing Reset nilled it; keep only what matches.
-		if t == nil || t.ID != id {
-			continue
+	n := 0
+	r.walk(func(t *Trace) bool {
+		if max > 0 && n == max {
+			return false
 		}
-		dst = append(dst, t)
-	}
+		dst = append(dst, t.clone())
+		n++
+		return true
+	})
 	return dst
+}
+
+// find returns a copy of the newest retained trace carrying wire id
+// tid and, when span is nonzero, exactly that span id.
+func (r *Ring) find(tid uint64, span uint32) *Trace {
+	var got *Trace
+	r.walk(func(t *Trace) bool {
+		if t.TID == tid && (span == 0 || t.SpanID == span) {
+			got = t.clone()
+			return false
+		}
+		return true
+	})
+	return got
 }

@@ -13,9 +13,14 @@
 //     handful of predictable branches, so the search hot path stays
 //     allocation-free with tracing compiled in but disabled (guarded
 //     by the alloc-regression CI).
-//  2. Race-safe retention. Admitted traces land in fixed-size
-//     lock-free rings (atomic slot pointers + a sequence counter);
-//     concurrent record, snapshot and reset never block each other.
+//  2. Race-safe retention without garbage. Admitted traces land in
+//     fixed-size rings guarded by a short mutex. A Put hands the trace
+//     it evicts back to the collector's pool, and every reader
+//     (Snapshot, Find, the slow-request log) gets a deep copy taken
+//     under the ring's lock, so no caller ever touches a pooled trace
+//     after End. A retained trace keeps its request identity in a
+//     buffer it reuses, so a traced request allocates nothing in
+//     steady state, whether it is recycled or retained.
 //  3. Two admission policies: probabilistic sampling (1-in-N, counter
 //     based so tests are deterministic) and a Redis-style slowlog —
 //     every request whose wall latency exceeds the threshold is kept
@@ -27,8 +32,10 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates span/event types along the request path, in stack
@@ -158,8 +165,9 @@ type Event struct {
 }
 
 // Trace accumulates one request's events. A Trace is owned by exactly
-// one goroutine while recording; once admitted to a ring it is
-// immutable and may be read concurrently.
+// one goroutine while recording; once handed to the Collector it
+// belongs to the collector, which retains or recycles it. Readers of
+// retained traces get copies, never the trace itself.
 //
 // The zero-value-pointer contract: every method is safe on a nil
 // receiver and does nothing, so call sites need no "is tracing on"
@@ -183,8 +191,16 @@ type Trace struct {
 
 	Events []Event
 
-	sampled bool // chosen by the 1-in-N sampler at Begin
+	ident   []byte // reusable backing store for Cmd, Engine and Key
+	owned   bool   // Cmd, Engine and Key live in ident
+	sampled bool   // chosen by the 1-in-N sampler at Begin
+	minted  bool   // TID was minted here (Mint), not received from a parent
 }
+
+// maxIdentReuse caps the identity buffer a pooled trace keeps: a
+// request with a huge key (a long TINSERT text) must not pin that much
+// memory in every pooled trace it passes through.
+const maxIdentReuse = 1 << 10
 
 // Enabled reports whether the trace is live. It is the idiomatic guard
 // for work that only matters when tracing (building strings, summing
@@ -192,25 +208,78 @@ type Trace struct {
 func (t *Trace) Enabled() bool { return t != nil }
 
 // Request records the command identity. The strings may be substrings
-// of the request line; the Collector clones them on admission so a
-// retained trace does not pin a connection buffer.
+// of the request line: admission copies them (the command upper-cased)
+// into the trace's reusable buffer, so a retained trace does not pin a
+// connection buffer and an unretained one costs no copy.
 func (t *Trace) Request(cmd, engine, key string) {
 	if t == nil {
 		return
 	}
-	t.Cmd, t.Engine, t.Key = cmd, engine, key
+	t.Cmd, t.Engine, t.Key, t.owned = cmd, engine, key, false
 }
 
-// SetWire joins this trace to a caller-supplied wire trace id: the
-// server records the (*TID <id>/<span>) annotation here, and the
-// router stamps the ids it tags forwarded commands with. A nonzero
-// TID makes the trace retainable in the collector's tagged ring, so a
-// parent tier can fetch it later with TRACE GET.
+// RequestBytes is Request for callers holding the request line in a
+// buffer that is reused before the trace ends (the router): the
+// command (upper-cased), engine and key are copied into the trace's
+// reusable buffer at once.
+func (t *Trace) RequestBytes(cmd, engine, key []byte) {
+	if t == nil {
+		return
+	}
+	setIdent(t, cmd, engine, key)
+}
+
+// setIdent copies the identity into t.ident and points Cmd, Engine and
+// Key at the copy.
+func setIdent[S string | []byte](t *Trace, cmd, engine, key S) {
+	b := append(t.ident[:0], cmd...)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	b = append(b, engine...)
+	b = append(b, key...)
+	t.ident, t.owned = b, true
+	ce, ee := len(cmd), len(cmd)+len(engine)
+	t.Cmd, t.Engine, t.Key = view(b[:ce]), view(b[ce:ee]), view(b[ee:])
+}
+
+// view returns b as a string without copying. The identity strings
+// alias t.ident, which is only rewritten once the trace is recycled;
+// no one reads a trace after that (readers hold copies).
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
+
+// SetWire joins this trace to a wire trace id received from a parent
+// tier: the server records the (*TID <id>/<span>) annotation here. A
+// nonzero TID set this way makes the trace retainable in the
+// collector's tagged ring, so the parent can fetch it later with
+// TRACE GET.
 func (t *Trace) SetWire(tid uint64, span uint32) {
 	if t == nil {
 		return
 	}
-	t.TID, t.SpanID = tid, span
+	t.TID, t.SpanID, t.minted = tid, span, false
+}
+
+// Mint gives the trace a fresh wire id of its own, once, and returns
+// it: the router tags the calls it forwards with it. Unlike SetWire, a
+// minted id does not make the trace tagged-retainable — no parent tier
+// knows the id, so nothing would ever fetch the trace by it. Slow and
+// sampled traces are still retained and findable by their minted id.
+func (t *Trace) Mint() uint64 {
+	if t == nil {
+		return 0
+	}
+	if t.TID == 0 {
+		t.TID, t.minted = NewTraceID(), true
+	}
+	return t.TID
 }
 
 // Add appends one pre-built event. The typed recorders above cover the
@@ -224,7 +293,9 @@ func (t *Trace) Add(e Event) {
 	t.Events = append(t.Events, e)
 }
 
-// SetResult records the first token of the reply.
+// SetResult records the first token of the reply. r is retained as
+// is, so it must not alias a reusable buffer (the servers pass interned
+// constants).
 func (t *Trace) SetResult(r string) {
 	if t == nil {
 		return
@@ -363,19 +434,33 @@ func (t *Trace) End() {
 	t.Dur = time.Since(t.Begin)
 }
 
-// reset clears the trace for pooled reuse, keeping the event array.
-func (t *Trace) reset() {
-	events := t.Events[:0]
-	*t = Trace{Events: events}
+// detach moves the identity into the trace's own buffer, so a retained
+// trace does not alias the caller's request line.
+func (t *Trace) detach() {
+	if !t.owned {
+		setIdent(t, t.Cmd, t.Engine, t.Key)
+	}
 }
 
-// detach clones any strings that may alias a caller buffer, making the
-// trace safe to retain after the request line is recycled.
-func (t *Trace) detach() {
-	t.Cmd = strings.Clone(t.Cmd)
-	t.Engine = strings.Clone(t.Engine)
-	t.Key = strings.Clone(t.Key)
-	t.Result = strings.Clone(t.Result)
+// reset clears the trace for pooled reuse, keeping the event array
+// and the identity buffer.
+func (t *Trace) reset() {
+	events, ident := t.Events[:0], t.ident[:0]
+	if cap(ident) > maxIdentReuse {
+		ident = nil
+	}
+	*t = Trace{Events: events, ident: ident}
+}
+
+// clone returns a deep copy sharing no memory with t, so it stays
+// valid after t is recycled. Result needs no copy: it is always an
+// interned constant or an owned string.
+func (t *Trace) clone() *Trace {
+	c := *t
+	c.Cmd, c.Engine, c.Key = strings.Clone(t.Cmd), strings.Clone(t.Engine), strings.Clone(t.Key)
+	c.Events = slices.Clone(t.Events)
+	c.ident = nil
+	return &c
 }
 
 // New returns a standalone trace beginning now — the forced-on form

@@ -42,6 +42,32 @@ func TestTaggedAdmissionPriority(t *testing.T) {
 	}
 }
 
+// TestMintedIDNotTagged: an id the trace minted for itself (the
+// router's own root trace) is not a parent's id, so it never makes the
+// trace tagged-retainable; slow or sampled minted traces are kept and
+// stay findable by that id.
+func TestMintedIDNotTagged(t *testing.T) {
+	c := NewCollector(Config{SampleN: 0, Slowlog: time.Millisecond, Ring: 4})
+	tr := c.Begin()
+	id := tr.Mint()
+	if id == 0 || tr.Mint() != id {
+		t.Fatalf("Mint = %x then %x, want one stable nonzero id", id, tr.Mint())
+	}
+	c.Observe(tr, time.Microsecond)
+	if n := c.Slow().Total() + c.Tagged().Total() + c.Sampled().Total(); n != 0 {
+		t.Fatalf("fast minted trace retained %d times, want recycled", n)
+	}
+
+	tr = c.Begin()
+	id = tr.Mint()
+	if !c.Observe(tr, time.Hour) {
+		t.Fatal("slow minted trace not admitted to the slowlog")
+	}
+	if got := c.Find(id, 0); got == nil || got.TID != id {
+		t.Fatalf("Find(%x) = %+v, want the slow minted trace", id, got)
+	}
+}
+
 func TestEligible(t *testing.T) {
 	for _, tc := range []struct {
 		name string
